@@ -41,22 +41,20 @@ const (
 	// build (internal/engine.BuildCubeParallelCtx), before the shard's
 	// rows are aggregated.
 	EngineCubeShard = "engine.cube.shard"
-	// StatsPermBlock fires once per permutation block drawn by
-	// stats.NewPairPermSeededCtx, before the block's resamples are
-	// generated.
+	// StatsPermBlock fires once per permutation block of
+	// stats.RunPermTests, before the block is drawn and evaluated.
 	StatsPermBlock = "stats.perm.block"
-	// StatsPermEval fires once per worker stride chunk of
-	// stats.(*PairPerm).PValueThreadsCtx, before the chunk's permutation
-	// statistics are evaluated.
+	// StatsPermEval fires every permCheckStride (256) permutations a
+	// stats.RunPermTests worker evaluates, starting with its first.
 	StatsPermEval = "stats.perm.eval"
 	// TapSearchTick fires when the exact TAP solver starts and then at
 	// every periodic budget checkpoint of the branch-and-bound search
 	// (every few thousand nodes).
 	TapSearchTick = "tap.search.tick"
-	// StatsEarlyStop fires once per block boundary of the early-stopping
-	// permutation kernel (stats.PValueEarlyStop), before the block's
-	// resamples are evaluated — i.e. at every point where the sequential
-	// confidence bound may truncate the test.
+	// StatsEarlyStop fires once per block of an early-stopping
+	// stats.RunPermTests run, before the ctx poll and the block — i.e.
+	// at every point where the sequential confidence bound may
+	// truncate a test.
 	StatsEarlyStop = "stats.earlystop.block"
 	// GovernorRebalance fires every time the resource governor re-splits
 	// the remaining time budget at a phase boundary

@@ -71,7 +71,12 @@ func Median(x []float64) float64 {
 	if n == 0 {
 		return math.NaN()
 	}
-	buf := append([]float64(nil), x...)
+	return medianInPlace(append([]float64(nil), x...))
+}
+
+// medianInPlace is Median for a non-empty buf it may reorder.
+func medianInPlace(buf []float64) float64 {
+	n := len(buf)
 	lo := quickselect(buf, (n-1)/2)
 	if n%2 == 1 {
 		return lo

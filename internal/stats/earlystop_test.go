@@ -40,10 +40,19 @@ func pooled(xs, ys []float64) []float64 {
 	return append(append(make([]float64, 0, len(xs)+len(ys)), xs...), ys...)
 }
 
+// earlyP runs one early-stopped test on a run of its own.
+func earlyP(ctx context.Context, nx, ny, nperm int, seed int64, pooled []float64, stat TestStat, alpha float64) (obs, p float64, used int, err error) {
+	res, err := RunPermTests(ctx, PermRun{NX: nx, NY: ny, Perms: nperm, Seed: seed, Alpha: alpha}, []PermTest{{pooled, stat}})
+	if err != nil {
+		return 0, 1, 0, err
+	}
+	return res[0].Obs, res[0].P, res[0].Perms, nil
+}
+
 func TestEarlyStopTruncatesNullPair(t *testing.T) {
 	xs, ys := nullPair(60)
 	const nperm = 2048
-	obs, p, used, err := PValueEarlyStop(context.Background(), len(xs), len(ys), nperm, 7, pooled(xs, ys), MeanDiff, 0.05)
+	obs, p, used, err := earlyP(context.Background(), len(xs), len(ys), nperm, 7, pooled(xs, ys), MeanDiff, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,43 +71,35 @@ func TestEarlyStopTruncatesNullPair(t *testing.T) {
 }
 
 func TestEarlyStopPrefixMatchesFullTest(t *testing.T) {
-	// When no stop triggers (alpha = 0 disables the "significant" side
-	// and the pair is decisively significant so phat stays at 0 — with
-	// alpha 0 the insignificant side needs phat > eps too), force full
-	// evaluation by using an alpha no interval can clear: the verdict
-	// interval always straddles it, so all nperm permutations run and
-	// the p-value must equal the eager kernel's bit for bit.
+	// An alpha no Hoeffding interval can clear (phat − eps > alpha needs
+	// phat > eps, and phat + eps < alpha is impossible) forces the early
+	// mode through all nperm permutations of a decisively significant
+	// pair, so its result must equal the full mode's bit for bit.
 	xs, ys := clearPair(40)
 	const nperm, seed = 200, 99
 	pl := pooled(xs, ys)
-
-	// alpha = 0.5 with a decisively significant pair: phat = 0, and
-	// 0 + eps < 0.5 requires m >= ln(2/δ)/(2·0.25) ≈ 11 — one block
-	// decides. So use the *same seed* eager kernel truncated never:
-	// compare against the early kernel run with an unreachable alpha.
-	unreachable := math.Nextafter(0, 1) // no interval fits below it, phat-eps>alpha needs phat>eps
-	obsE, pE, used, err := PValueEarlyStop(context.Background(), len(xs), len(ys), nperm, seed, pl, MeanDiff, unreachable)
+	unreachable := math.Nextafter(0, 1)
+	obsE, pE, used, err := earlyP(context.Background(), len(xs), len(ys), nperm, seed, pl, MeanDiff, unreachable)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if used != nperm {
 		t.Fatalf("unreachable alpha still stopped early at %d of %d", used, nperm)
 	}
-	pp := NewPairPermSeeded(len(xs), len(ys), nperm, seed, 3)
-	obsF, pF := pp.PValueThreads(pl, MeanDiff, 3)
-	if obsE != obsF { // exact: bit-identity is the contract under test
-		t.Errorf("observed statistic differs: early %v, full %v", obsE, obsF)
+	full := mustRun(t, PermRun{NX: len(xs), NY: len(ys), Perms: nperm, Seed: seed, Threads: 3}, []PermTest{{pl, MeanDiff}})
+	if obsE != full[0].Obs { // exact: bit-identity is the contract under test
+		t.Errorf("observed statistic differs: early %v, full %v", obsE, full[0].Obs)
 	}
-	if pE != pF { // exact: bit-identity is the contract under test
-		t.Errorf("untruncated early-stop p = %v differs from full kernel p = %v", pE, pF)
+	if pE != full[0].P { // exact: bit-identity is the contract under test
+		t.Errorf("untruncated early-stop p = %v differs from full kernel p = %v", pE, full[0].P)
 	}
 }
 
 func TestEarlyStopDeterministic(t *testing.T) {
 	xs, ys := nullPair(48)
 	pl := pooled(xs, ys)
-	_, p1, used1, err1 := PValueEarlyStop(context.Background(), len(xs), len(ys), 1024, 3, pl, VarDiff, 0.05)
-	_, p2, used2, err2 := PValueEarlyStop(context.Background(), len(xs), len(ys), 1024, 3, pl, VarDiff, 0.05)
+	_, p1, used1, err1 := earlyP(context.Background(), len(xs), len(ys), 1024, 3, pl, VarDiff, 0.05)
+	_, p2, used2, err2 := earlyP(context.Background(), len(xs), len(ys), 1024, 3, pl, VarDiff, 0.05)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -107,17 +108,43 @@ func TestEarlyStopDeterministic(t *testing.T) {
 	}
 }
 
+// TestEarlyStopSharedRunDecidesPerTest: in one shared run each test stops
+// on its own — a null test stops early while a decisive one shares the
+// permutations until its own bound settles — and each gets the result
+// it gets alone.
+func TestEarlyStopSharedRunDecidesPerTest(t *testing.T) {
+	cx, cy := clearPair(40)
+	nx, ny := nullPair(40)
+	tests := []PermTest{{pooled(nx, ny), MeanDiff}, {pooled(cx, cy), MeanDiff}, {pooled(nx, ny), VarDiff}}
+	const nperm, alpha = 1024, 0.002
+	shared := mustRun(t, PermRun{NX: 40, NY: 40, Perms: nperm, Seed: 5, Alpha: alpha}, tests)
+	for i, tc := range tests {
+		alone := mustRun(t, PermRun{NX: 40, NY: 40, Perms: nperm, Seed: 5, Alpha: alpha}, []PermTest{tc})
+		if shared[i] != alone[0] {
+			t.Errorf("test %d: shared %+v, alone %+v", i, shared[i], alone[0])
+		}
+	}
+	if shared[0].Perms >= nperm || shared[0].Perms == shared[1].Perms {
+		t.Errorf("perms used %d and %d: want the null test to stop first", shared[0].Perms, shared[1].Perms)
+	}
+}
+
 func TestEarlyStopCancellation(t *testing.T) {
 	xs, ys := clearPair(40)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	defer faultinject.Set(faultinject.StatsEarlyStop, faultinject.OnCall(2, cancel))()
-	_, _, used, err := PValueEarlyStop(ctx, len(xs), len(ys), 2048, 1, pooled(xs, ys), MeanDiff, math.Nextafter(0, 1))
+	var fired atomic.Int64
+	defer faultinject.Set(faultinject.StatsEarlyStop, func(string) {
+		if fired.Add(1) == 2 {
+			cancel()
+		}
+	})()
+	_, _, _, err := earlyP(ctx, len(xs), len(ys), 2048, 1, pooled(xs, ys), MeanDiff, math.Nextafter(0, 1))
 	if err == nil {
 		t.Fatal("cancelled early-stop test returned no error")
 	}
-	if used >= 2048 {
-		t.Errorf("cancellation did not abort the loop: %d permutations ran", used)
+	if fired.Load() != 2 {
+		t.Errorf("cancellation did not abort the loop: %d blocks started", fired.Load())
 	}
 }
 
@@ -126,7 +153,7 @@ func TestEarlyStopFiresSitePerBlock(t *testing.T) {
 	defer faultinject.Set(faultinject.StatsEarlyStop,
 		faultinject.Always(func() { fired.Add(1) }))()
 	xs, ys := clearPair(30)
-	_, _, used, err := PValueEarlyStop(context.Background(), len(xs), len(ys), 256, 5, pooled(xs, ys), MeanDiff, math.Nextafter(0, 1))
+	_, _, used, err := earlyP(context.Background(), len(xs), len(ys), 256, 5, pooled(xs, ys), MeanDiff, math.Nextafter(0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,12 +163,12 @@ func TestEarlyStopFiresSitePerBlock(t *testing.T) {
 }
 
 func TestEarlyStopDegenerateInputs(t *testing.T) {
-	obs, p, used, err := PValueEarlyStop(context.Background(), 0, 0, 100, 1, nil, MeanDiff, 0.05)
+	obs, p, used, err := earlyP(context.Background(), 0, 0, 100, 1, nil, MeanDiff, 0.05)
 	if err != nil || !math.IsNaN(obs) || p != 1 || used != 0 {
 		t.Errorf("empty sides: obs=%v p=%v used=%d err=%v, want NaN/1/0/nil", obs, p, used, err)
 	}
 	nan := []float64{math.NaN(), 1, 2, 3}
-	obs, p, _, err = PValueEarlyStop(context.Background(), 2, 2, 100, 1, nan, MeanDiff, 0.05)
+	obs, p, _, err = earlyP(context.Background(), 2, 2, 100, 1, nan, MeanDiff, 0.05)
 	if err != nil || !math.IsNaN(obs) || p != 1 {
 		t.Errorf("NaN pool: obs=%v p=%v err=%v, want NaN observed and p=1", obs, p, err)
 	}

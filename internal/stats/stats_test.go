@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +10,17 @@ import (
 
 func almostEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*(1+math.Abs(b))
+}
+
+// permP runs one test on a seeded permutation run of its own.
+func permP(t testing.TB, nx, ny, nperm int, seed int64, pooled []float64, stat TestStat) (obs, p float64) {
+	t.Helper()
+	res, err := RunPermTests(context.Background(), PermRun{NX: nx, NY: ny, Perms: nperm, Seed: seed, Threads: 1},
+		[]PermTest{{Pooled: pooled, Stat: stat}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res[0].Obs, res[0].P
 }
 
 func TestDescriptive(t *testing.T) {
@@ -52,8 +64,7 @@ func TestPermTestDetectsMeanShift(t *testing.T) {
 	for i := 0; i < ny; i++ {
 		pooled = append(pooled, rng.NormFloat64()+2.0) // big shift
 	}
-	pp := NewPairPerm(nx, ny, 500, rng)
-	obs, p := pp.PValue(pooled, MeanDiff)
+	obs, p := permP(t, nx, ny, 500, rng.Int63(), pooled, MeanDiff)
 	if obs < 1.5 {
 		t.Errorf("observed |mean diff| = %v, want around 2", obs)
 	}
@@ -75,8 +86,7 @@ func TestPermTestNullIsUniformish(t *testing.T) {
 		for i := range pooled {
 			pooled[i] = rng.NormFloat64()
 		}
-		pp := NewPairPerm(nx, ny, 120, rng)
-		_, p := pp.PValue(pooled, MeanDiff)
+		_, p := permP(t, nx, ny, 120, rng.Int63(), pooled, MeanDiff)
 		sum += p
 		if p < 0.05 {
 			small++
@@ -100,31 +110,35 @@ func TestPermTestDetectsVarianceShift(t *testing.T) {
 	for i := 0; i < ny; i++ {
 		pooled = append(pooled, rng.NormFloat64()*0.5)
 	}
-	pp := NewPairPerm(nx, ny, 500, rng)
-	_, p := pp.PValue(pooled, VarDiff)
+	_, p := permP(t, nx, ny, 500, rng.Int63(), pooled, VarDiff)
 	if p > 0.01 {
 		t.Errorf("variance-shift p = %v, want highly significant", p)
 	}
 }
 
 func TestPermSharedAcrossMeasures(t *testing.T) {
-	// The same PairPerm must be reusable for different measure vectors and
-	// give deterministic results.
-	rng := rand.New(rand.NewSource(5))
-	pp := NewPairPerm(10, 12, 100, rng)
+	// One run shared by several measure vectors must give each the
+	// p-value it gets alone, deterministically.
 	m1 := make([]float64, 22)
 	m2 := make([]float64, 22)
 	for i := range m1 {
 		m1[i] = float64(i)
 		m2[i] = float64(i * i)
 	}
-	_, p1a := pp.PValue(m1, MeanDiff)
-	_, p2 := pp.PValue(m2, MeanDiff)
-	_, p1b := pp.PValue(m1, MeanDiff)
-	if p1a != p1b {
-		t.Errorf("PValue not deterministic: %v vs %v", p1a, p1b)
+	run := PermRun{NX: 10, NY: 12, Perms: 100, Seed: 5, Threads: 1}
+	res, err := RunPermTests(context.Background(), run, []PermTest{{m1, MeanDiff}, {m2, MeanDiff}, {m1, MeanDiff}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p1a == 0 || p2 == 0 {
+	if res[0] != res[2] {
+		t.Errorf("same test twice in one run: %+v vs %+v", res[0], res[2])
+	}
+	for i, m := range [][]float64{m1, m2} {
+		if _, p := permP(t, 10, 12, 100, 5, m, MeanDiff); p != res[i].P { // exact: sharing must not change a bit
+			t.Errorf("measure %d: shared p = %v, alone %v", i, res[i].P, p)
+		}
+	}
+	if res[0].P == 0 || res[1].P == 0 {
 		t.Error("smoothed p-values must be strictly positive")
 	}
 }
@@ -139,9 +153,8 @@ func TestPermPValueBounds(t *testing.T) {
 		for i := range pooled {
 			pooled[i] = r.NormFloat64()
 		}
-		pp := NewPairPerm(nx, ny, 60, rng)
 		for _, st := range []TestStat{MeanDiff, VarDiff} {
-			_, p := pp.PValue(pooled, st)
+			_, p := permP(t, nx, ny, 60, rng.Int63(), pooled, st)
 			if p <= 0 || p > 1 {
 				return false
 			}
@@ -154,23 +167,19 @@ func TestPermPValueBounds(t *testing.T) {
 }
 
 func TestPermEmptySide(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	pp := NewPairPerm(0, 5, 10, rng)
-	obs, p := pp.PValue(make([]float64, 5), MeanDiff)
+	obs, p := permP(t, 0, 5, 10, 1, make([]float64, 5), MeanDiff)
 	if !math.IsNaN(obs) || p != 1 {
 		t.Errorf("empty side: obs=%v p=%v, want NaN, 1", obs, p)
 	}
 }
 
 func TestPermPooledLengthPanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	pp := NewPairPerm(3, 3, 10, rng)
 	defer func() {
 		if recover() == nil {
 			t.Error("mismatched pooled length did not panic")
 		}
 	}()
-	pp.PValue(make([]float64, 5), MeanDiff)
+	permP(t, 3, 3, 10, 1, make([]float64, 5), MeanDiff)
 }
 
 func TestBenjaminiHochbergKnown(t *testing.T) {
