@@ -144,12 +144,18 @@ func TestCrashRecoveryAtFaultSites(t *testing.T) {
 
 			wantIpynb, _, _ := oneShot(t, csv, crashJobRequest(), Options{MaxConcurrent: 1})
 
+			// Park job 2's re-run in its stats phase until the sweep is
+			// checked, so the re-run's own in-flight .tmp files cannot
+			// be mistaken for survivors.
+			_, releaseRerun := holdSite(t, faultinject.StatsPermBlock)
 			s, base, shutdown := startDurableServer(t, stateDir, Options{MaxConcurrent: 1})
 			defer shutdown()
+			defer releaseRerun() // before shutdown, which waits for the re-run
 			waitReady(t, base)
 
 			// Nothing half-renamed may survive the restart sweep.
 			assertNoTempFiles(t, stateDir)
+			releaseRerun()
 
 			var jobs []jobStatusView
 			if err := json.Unmarshal(mustGet(t, base+"/v1/jobs"), &jobs); err != nil {
