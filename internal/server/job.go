@@ -249,12 +249,22 @@ const maxJobEvents = 1024
 // halves are non-blocking: the log is bounded, and the per-subscriber
 // notify send never waits — a slow or never-reading subscriber cannot
 // stall job completion.
-func (j *job) publish(name string, payload any) {
+func (j *job) publish(name string, payload any) { j.transition(nil, name, payload) }
+
+// transition runs update (if any) and appends its event in one critical
+// section, then wakes every subscriber as publish does. A terminal
+// state and its terminal event become visible together: a subscriber
+// that reads terminal from eventsSince has the terminal event in the
+// same read, so the SSE stream never closes without it.
+func (j *job) transition(update func(), name string, payload any) {
 	data, err := json.Marshal(payload)
 	if err != nil {
 		data = []byte(`{"error":"event marshal failed"}`)
 	}
 	j.mu.Lock()
+	if update != nil {
+		update()
+	}
 	j.events = append(j.events, sseEvent{name: name, data: string(data)})
 	if drop := len(j.events) - maxJobEvents; drop > 0 {
 		// Copy to a fresh slice so the dropped prefix is actually freed.
@@ -352,35 +362,32 @@ func (j *job) requestCancel() bool {
 
 // complete records a successful run and its artifacts.
 func (j *job) complete(artifacts map[string]artifact, sum jobSummary) {
-	j.mu.Lock()
-	j.state = stateDone
-	j.finished = time.Now()
-	j.artifacts = artifacts
-	j.summary = &sum
-	j.mu.Unlock()
-	j.publish("done", sum)
+	j.transition(func() {
+		j.state = stateDone
+		j.finished = time.Now()
+		j.artifacts = artifacts
+		j.summary = &sum
+	}, "done", sum)
 }
 
 // fail records a terminal failure; code is the HTTP status the result
 // endpoint will explain it with.
 func (j *job) fail(code int, msg string) {
-	j.mu.Lock()
-	j.state = stateFailed
-	j.finished = time.Now()
-	j.failCode = code
-	j.errMsg = msg
-	j.mu.Unlock()
-	j.publish("error", errorEvent{Error: msg, Code: code})
+	j.transition(func() {
+		j.state = stateFailed
+		j.finished = time.Now()
+		j.failCode = code
+		j.errMsg = msg
+	}, "error", errorEvent{Error: msg, Code: code})
 }
 
 // cancelled records a client- or shutdown-driven cancellation.
 func (j *job) cancelled(msg string) {
-	j.mu.Lock()
-	j.state = stateCancelled
-	j.finished = time.Now()
-	j.errMsg = msg
-	j.mu.Unlock()
-	j.publish("state", stateEvent{State: stateCancelled})
+	j.transition(func() {
+		j.state = stateCancelled
+		j.finished = time.Now()
+		j.errMsg = msg
+	}, "state", stateEvent{State: stateCancelled})
 }
 
 // runJob executes one admitted job on the calling worker goroutine: a
