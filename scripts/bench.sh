@@ -2,22 +2,24 @@
 # Benchmark harness for comparenb. Runs every benchmark (table/figure
 # reproductions, the kernel microbenchmarks and the observability-overhead
 # probes) with -benchmem at the fixed seeds baked into the _test.go files,
-# and writes the machine-readable baseline BENCH_PR7.json: one record per
-# benchmark plus derived speedups — the sharded cube build versus the
-# naive reference builder, and the parallel kernels versus their
-# threads=1 runs.
+# and writes a machine-readable baseline: one record per benchmark plus
+# derived speedups — the sharded cube build versus the naive reference
+# builder, and the parallel kernels versus their threads=1 runs. The
+# output is named after the current commit (BENCH_<short-hash>.json)
+# unless OUT says otherwise.
 #
-# When a previous baseline exists (PREV, default BENCH_PR5.json), the
-# output also carries per-benchmark B/op deltas against it, and any
-# cube-build benchmark whose B/op regressed by more than 20% gets a loud
-# WARNING on stderr — allocation discipline in the build kernels is a
-# tracked budget, not a nice-to-have.
+# When PREV names a previous baseline, the output also carries
+# per-benchmark B/op deltas against it, and any permutation-test
+# benchmark (BenchmarkPermTest*, and BenchmarkPermSeededGen, the
+# seeded draw alone) whose B/op regressed by more than 20% gets a loud
+# WARNING on stderr: permutation storage and RNG seeding were once most
+# of a run's allocated bytes, so the streaming kernel's allocation
+# discipline is a tracked budget, not a nice-to-have.
 #
 #   scripts/bench.sh                    # full run (default -benchtime=1s)
 #   BENCHTIME=100ms scripts/bench.sh    # quicker, noisier
 #   OUT=/tmp/b.json scripts/bench.sh    # write elsewhere
-#   PREV=BENCH_PR2.json scripts/bench.sh  # diff against another baseline
-#   PREV=none scripts/bench.sh          # skip the delta section
+#   PREV=BENCH_PR7.json scripts/bench.sh  # B/op deltas against a baseline
 #
 # Stdlib toolchain only: go test + awk.
 set -eu
@@ -25,14 +27,21 @@ set -eu
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-1s}"
-OUT="${OUT:-BENCH_PR7.json}"
-PREV="${PREV:-BENCH_PR5.json}"
+if [ -z "${OUT:-}" ]; then
+    if ! rev="$(git rev-parse --short HEAD 2>/dev/null)"; then
+        echo "bench.sh: not a git checkout; set OUT to name the output file" >&2
+        exit 2
+    fi
+    OUT="BENCH_$rev.json"
+fi
+PREV="${PREV:-}"
+if [ -n "$PREV" ] && [ ! -f "$PREV" ]; then
+    echo "bench.sh: PREV=$PREV does not exist" >&2
+    exit 2
+fi
+[ -n "$PREV" ] || PREV=/dev/null
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
-
-if [ "$PREV" = "none" ] || [ ! -f "$PREV" ]; then
-    PREV=/dev/null
-fi
 
 echo "==> go test -run '^\$' -bench . -benchmem -benchtime=$BENCHTIME ./..."
 go test -run '^$' -bench . -benchmem -benchtime="$BENCHTIME" ./... | tee "$RAW"
@@ -107,7 +116,7 @@ END {
             ratio = bop[name] / prev_bop[name]
             printf "    {\"name\": \"%s\", \"prev_b_op\": %.0f, \"b_op\": %s, \"ratio\": %.3f}%s\n", \
                 name, prev_bop[name], bop[name], ratio, (i < n_d - 1 ? "," : "")
-            if (name ~ /BuildCube/ && ratio > 1.2) {
+            if (name ~ /^Benchmark(PermTest|PermSeededGen)/ && ratio > 1.2) {
                 printf "WARNING: %s B/op regressed %.1f%% vs baseline (%.0f -> %s B/op)\n", \
                     name, (ratio - 1) * 100, prev_bop[name], bop[name] | "cat 1>&2"
                 warned = 1
@@ -116,8 +125,8 @@ END {
         printf "  ]"
         if (warned) {
             printf "==================== B/op REGRESSION ====================\n" | "cat 1>&2"
-            printf "Cube-build benchmarks above regressed >20%% in bytes/op.\n" | "cat 1>&2"
-            printf "The encoded kernels budget allocations deliberately --\n" | "cat 1>&2"
+            printf "Permutation-test benchmarks above regressed >20%% in bytes/op.\n" | "cat 1>&2"
+            printf "The streaming kernel budgets allocations deliberately --\n" | "cat 1>&2"
             printf "see docs/PERFORMANCE.md before accepting a new baseline.\n" | "cat 1>&2"
             printf "=========================================================\n" | "cat 1>&2"
         }
