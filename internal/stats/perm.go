@@ -3,7 +3,7 @@ package stats
 import (
 	"context"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 
 	"comparenb/internal/faultinject"
@@ -42,7 +42,7 @@ func (s TestStat) String() string {
 
 // permBlock is the resample-block width of the seeded permutation
 // stream: block b covers permutations [b*permBlock, (b+1)*permBlock) and
-// is drawn from its own RNG stream seeded by mixSeed(seed, b). Because
+// is drawn from its own PCG stream seeded by mixSeed(seed, b). Because
 // the block layout depends only on nperm, the permutations — and
 // therefore every p-value computed from them — are bit-identical no
 // matter how many workers draw the blocks.
@@ -103,16 +103,21 @@ type PermResult struct {
 }
 
 // RunPermTests draws run.Perms label permutations once and, while each
-// one is in cache, evaluates every test on it. Only the X-side indexes
-// are drawn; the Y-side moments come from the pooled totals, so each
-// permutation costs O(NX) per mean or variance test.
+// one is in cache, evaluates every test on it. Only the smaller side's
+// indexes are drawn; the other side's moments come from the pooled
+// totals, so each permutation costs O(min(NX, NY)) per mean or variance
+// test. Every statistic is symmetric in its sides, so scoring the drawn
+// side as "X" gives the same value.
 //
-// Block b of permBlock permutations is drawn from a stream seeded with
-// mixSeed(run.Seed, b), starting from the identity labelling, by a
-// partial Fisher–Yates; blocks are spread over up to run.Threads
-// workers. Exceedances are integer counts per test, so every result is
-// a pure function of (run, tests) — bit-identical for every thread
-// count.
+// Block b of permBlock permutations is drawn from a PCG stream seeded
+// with mixSeed(run.Seed, b), starting from the identity labelling, by a
+// partial Fisher–Yates over the first min(NX, NY) positions; when
+// NY < NX the identity is rotated to start at the Y side (position i
+// holds pooled index (i+NX) mod (NX+NY)), so the drawn side starts as
+// Y. Blocks are spread over up to run.Threads workers. Exceedances are
+// integer counts per test, so every result is a pure function of
+// (run, tests) — bit-identical for every thread count, and for (X, Y)
+// and (Y, X) with the sides swapped whenever NX ≠ NY.
 //
 // With run.Alpha > 0 the blocks run in order on one goroutine and a
 // per-test decided mask, checked at block boundaries, stops each test
@@ -154,6 +159,9 @@ func RunPermTests(ctx context.Context, run PermRun, tests []PermTest) ([]PermRes
 
 	// The observed statistics go through the same code path as the
 	// permuted ones, on the identity labelling a fresh worker holds.
+	// Pooled sums run in that labelling's order, so swapping the sides
+	// cannot change a bit.
+	ident := workers[0].pool
 	res := make([]PermResult, len(tests))
 	evals := make([]permEval, len(tests))
 	live := 0
@@ -166,13 +174,14 @@ func RunPermTests(ctx context.Context, run PermRun, tests []PermTest) ([]PermRes
 			continue
 		}
 		if tc.Stat == VarDiff {
-			e.Pooled = centered(tc.Pooled)
+			e.Pooled = centered(tc.Pooled, ident)
 		}
-		for _, v := range e.Pooled {
+		for _, i := range ident {
+			v := e.Pooled[i]
 			e.total += v
 			e.totalSq += v * v
 		}
-		e.obs = e.statistic(workers[0].pool[:nx], workers[0])
+		e.obs = e.statistic(ident[:workers[0].k], workers[0])
 		res[i].Obs = e.obs
 		if !math.IsNaN(e.obs) {
 			e.decided = false
@@ -284,16 +293,20 @@ func earlyStopDecided(ge, m int, alpha float64) bool {
 	return phat+eps < alpha || phat-eps > alpha
 }
 
-// centered returns a copy of pooled shifted by its mean rounded to an
-// integer. The variance statistic is shift-invariant, and its one-pass
+// centered returns a copy of pooled shifted by its mean, summed in
+// order's sequence and rounded to an integer. The variance statistic is shift-invariant, and its one-pass
 // form qx/nx − mx² cancels catastrophically on values far from zero (at
 // an offset of 1e10 it read 65536 for a true difference of 8); after the
 // shift the values sit within 0.5 of zero on average. Rounding the
 // shift keeps it exact for values within a factor of two of it
 // (Sterbenz), and makes it a no-op — bit for bit — on pools already
 // centred within 0.5 of zero.
-func centered(pooled []float64) []float64 {
-	c := math.Round(Mean(pooled))
+func centered(pooled []float64, order []int32) []float64 {
+	s := 0.0
+	for _, i := range order {
+		s += pooled[i]
+	}
+	c := math.Round(s / float64(len(pooled)))
 	out := make([]float64, len(pooled))
 	for i, v := range pooled {
 		out[i] = v - c
@@ -321,23 +334,27 @@ type permEval struct {
 	decided        bool
 }
 
-// permWorker is one worker's reusable state: an RNG reseeded per block,
-// the index pool the partial Fisher–Yates shuffles, one exceedance
-// count per test, and the median statistic's buffers. Workers are
-// pooled across runs, so a run allocates nothing per block or per
-// permutation.
+// permWorker is one worker's reusable state: a PCG reseeded per block
+// and the Rand drawing from it, the index pool the partial Fisher–Yates
+// shuffles, one exceedance count per test, and the median statistic's
+// buffers. k is the drawn side's size, min(NX, NY), and rot the pooled
+// index the identity labelling starts at (NX when the Y side is drawn).
+// Workers are pooled across runs, so a run allocates nothing per block
+// or per permutation.
 type permWorker struct {
-	rng               *rand.Rand
-	pool              []int32
-	ge                []int
-	nx, nperm, scored int
-	seed              int64
-	xs, ys            []float64
-	inX               []bool
+	pcg                   *rand.PCG
+	rng                   *rand.Rand
+	pool                  []int32
+	ge                    []int
+	k, rot, nperm, scored int
+	seed                  int64
+	xs, ys                []float64
+	inX                   []bool
 }
 
 var permWorkers = sync.Pool{New: func() any {
-	return &permWorker{rng: rand.New(rand.NewSource(0))}
+	pcg := rand.NewPCG(0, 0)
+	return &permWorker{pcg: pcg, rng: rand.New(pcg)}
 }}
 
 // getPermWorker takes a pooled worker and sizes it for run: identity
@@ -345,18 +362,33 @@ var permWorkers = sync.Pool{New: func() any {
 func getPermWorker(run PermRun, ntests int, median bool) *permWorker {
 	w := permWorkers.Get().(*permWorker)
 	n := run.NX + run.NY
-	w.pool = resize(w.pool, n)
-	for i := range w.pool {
-		w.pool[i] = int32(i)
+	w.k, w.rot = run.NX, 0
+	if run.NY < run.NX {
+		w.k, w.rot = run.NY, run.NX
 	}
+	w.pool = resize(w.pool, n)
+	w.identity()
 	w.ge = resize(w.ge, ntests)
-	w.nx, w.nperm, w.seed, w.scored = run.NX, run.Perms, run.Seed, 0
+	w.nperm, w.seed, w.scored = run.Perms, run.Seed, 0
 	if median {
-		w.xs = resize(w.xs, run.NX)
-		w.ys = resize(w.ys, run.NY)
+		w.xs = resize(w.xs, w.k)
+		w.ys = resize(w.ys, n-w.k)
 		w.inX = resize(w.inX, n)
 	}
 	return w
+}
+
+// identity resets the pool to the identity labelling rotated by rot:
+// position i holds pooled index (i+rot) mod n.
+func (w *permWorker) identity() {
+	j := int32(w.rot)
+	for i := range w.pool {
+		if int(j) == len(w.pool) {
+			j = 0
+		}
+		w.pool[i] = j
+		j++
+	}
 }
 
 // resize returns s with length n and zeroed contents, reusing its
@@ -371,31 +403,20 @@ func resize[T any](s []T, n int) []T {
 }
 
 // block draws block b and scores every undecided test on each of its
-// permutations. The RNG is reseeded with mixSeed(seed, b), which puts it
-// in exactly the state rand.NewSource(mixSeed(seed, b)) starts in, and
-// the pool restarts from the identity, so a block's permutations depend
-// only on (seed, b). It returns the run's permutation count after the
-// block.
+// permutations. It returns the run's permutation count after the block.
 func (w *permWorker) block(ctx context.Context, b int, evals []permEval) int {
 	sp := obspkg.StartSpan(ctx, "stats/pair/permblock")
 	defer sp.End()
 	faultinject.Fire(faultinject.StatsPermBlock)
-	w.rng.Seed(mixSeed(w.seed, int64(b)))
-	for i := range w.pool {
-		w.pool[i] = int32(i)
-	}
-	n := len(w.pool)
+	w.reset(b)
 	hi := min((b+1)*permBlock, w.nperm)
 	for k := b * permBlock; k < hi; k++ {
-		for i := 0; i < w.nx && i < n-1; i++ {
-			j := i + w.rng.Intn(n-i)
-			w.pool[i], w.pool[j] = w.pool[j], w.pool[i]
-		}
+		w.draw()
 		if w.scored%permCheckStride == 0 {
 			faultinject.Fire(faultinject.StatsPermEval)
 		}
 		w.scored++
-		xIdx := w.pool[:w.nx]
+		xIdx := w.pool[:w.k]
 		for i := range evals {
 			e := &evals[i]
 			if !e.decided && e.statistic(xIdx, w) >= e.obs {
@@ -406,9 +427,30 @@ func (w *permWorker) block(ctx context.Context, b int, evals []permEval) int {
 	return hi
 }
 
-// statistic computes the test's statistic with side X being the pooled
-// positions in xIdx. Sums run in xIdx order; the Y side of the mean and
-// variance comes from the pooled totals.
+// reset starts block b: the PCG is reseeded with mixSeed(seed, b) in its
+// high word, which puts it in exactly the state rand.NewPCG starts in,
+// and the pool restarts from the identity, so a block's permutations
+// depend only on (seed, b).
+func (w *permWorker) reset(b int) {
+	w.pcg.Seed(uint64(mixSeed(w.seed, int64(b))), 0)
+	w.identity()
+}
+
+// draw takes the next permutation by a partial Fisher–Yates over the
+// pool's first k positions: afterwards pool[:k] is a uniform k-subset
+// of the pooled indexes, whatever labelling the pool held before.
+func (w *permWorker) draw() {
+	n := len(w.pool)
+	for i := 0; i < w.k; i++ {
+		j := i + w.rng.IntN(n-i)
+		w.pool[i], w.pool[j] = w.pool[j], w.pool[i]
+	}
+}
+
+// statistic computes the test's statistic with the pooled positions in
+// xIdx scored as side X — the drawn side, which is Y when NY < NX; every
+// statistic is symmetric in its sides. Sums run in xIdx order; the other
+// side of the mean and variance comes from the pooled totals.
 func (e *permEval) statistic(xIdx []int32, w *permWorker) float64 {
 	nx, ny := float64(len(xIdx)), float64(len(e.Pooled)-len(xIdx))
 	switch e.Stat {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"testing"
 )
 
@@ -89,17 +90,18 @@ func TestPValueThreadsBitIdentical(t *testing.T) {
 }
 
 // TestSeededMatchesSequentialFirstBlock checks the per-worker reseed:
-// Seed on a used RNG restarts exactly the stream a fresh
-// rand.NewSource(seed) gives, and the kernel's first block lands inside
-// the reference's exceedance bracket.
+// Seed on a used PCG restarts exactly the stream a fresh rand.NewPCG
+// gives, and the kernel's first block lands inside the reference's
+// exceedance bracket.
 func TestSeededMatchesSequentialFirstBlock(t *testing.T) {
 	const nx, ny, seed = 15, 25, 77
-	used := rand.New(rand.NewSource(1))
-	used.Intn(1000)
-	used.Seed(mixSeed(seed, 0))
-	fresh := rand.New(rand.NewSource(mixSeed(seed, 0)))
+	pcg := randv2.NewPCG(1, 2)
+	used := randv2.New(pcg)
+	used.IntN(1000)
+	pcg.Seed(uint64(mixSeed(seed, 0)), 0)
+	fresh := randv2.New(randv2.NewPCG(uint64(mixSeed(seed, 0)), 0))
 	for i := 0; i < 1000; i++ {
-		if a, b := used.Intn(nx+ny-i%(nx+ny)), fresh.Intn(nx+ny-i%(nx+ny)); a != b {
+		if a, b := used.IntN(nx+ny-i%(nx+ny)), fresh.IntN(nx+ny-i%(nx+ny)); a != b {
 			t.Fatalf("draw %d: reseeded %d, fresh %d", i, a, b)
 		}
 	}

@@ -5,33 +5,39 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// referencePerms materialises the seeded permutation stream the way the
-// stored-permutation implementation drew it: block b of permBlock
-// permutations comes from rand.NewSource(mixSeed(seed, b)), every block
-// starts from a fresh identity scratch, and each permutation labels side
-// X by a partial Fisher–Yates over that scratch. The streaming kernel
-// must reproduce it index for index.
+// referencePerms materialises the seeded permutation stream one
+// permutation at a time: block b of permBlock permutations comes from a
+// fresh rand.New(rand.NewPCG(mixSeed(seed, b), 0)), every block starts
+// from a fresh identity scratch — rotated to start at the Y side when
+// ny < nx — and each permutation draws the smaller side by a partial
+// Fisher–Yates over that scratch. It returns the drawn side's pooled
+// positions; the streaming kernel must reproduce them index for index.
 func referencePerms(nx, ny, nperm int, seed int64) [][]int32 {
+	k, rot := nx, 0
+	if ny < nx {
+		k, rot = ny, nx
+	}
+	n := nx + ny
 	out := make([][]int32, 0, nperm)
 	for b := 0; len(out) < nperm; b++ {
-		rng := rand.New(rand.NewSource(mixSeed(seed, int64(b))))
-		scratch := make([]int32, nx+ny)
+		rng := randv2.New(randv2.NewPCG(uint64(mixSeed(seed, int64(b))), 0))
+		scratch := make([]int32, n)
 		for i := range scratch {
-			scratch[i] = int32(i)
+			scratch[i] = int32((i + rot) % n)
 		}
-		n := len(scratch)
-		for k := 0; k < permBlock && len(out) < nperm; k++ {
-			for i := 0; i < nx && i < n-1; i++ {
-				j := i + rng.Intn(n-i)
+		for p := 0; p < permBlock && len(out) < nperm; p++ {
+			for i := 0; i < k; i++ {
+				j := i + rng.IntN(n-i)
 				scratch[i], scratch[j] = scratch[j], scratch[i]
 			}
-			out = append(out, append([]int32(nil), scratch[:nx]...))
+			out = append(out, append([]int32(nil), scratch[:k]...))
 		}
 	}
 	return out
