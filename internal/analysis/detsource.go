@@ -28,8 +28,9 @@ import (
 //     soft-budget subsystems — the one place wall-clock reads are the
 //     point (timings are segregated from deterministic counters by
 //     design; docs/OBSERVABILITY.md).
-//   - seeded randomness (rand.New(rand.NewSource(seed)) and *rand.Rand
-//     methods) is not a source; only the package-level math/rand
+//   - seeded randomness (rand.New(rand.NewSource(seed)), math/rand/v2's
+//     rand.NewPCG and (*rand.PCG).Seed, and *rand.Rand methods) is not
+//     a source; only the package-level math/rand and math/rand/v2
 //     functions, which share the global source, are.
 //   - runtime.GOMAXPROCS is not a source: thread count is a free
 //     variable under the determinism-across-threads gate. runtime.NumCPU

@@ -8,6 +8,7 @@ import (
 	cryptorand "crypto/rand"
 	"fmt"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"os"
 	"runtime"
 	"time"
@@ -23,6 +24,17 @@ func directClock() int64 {
 // directGlobalRand uses the package-level, globally seeded RNG.
 func directGlobalRand(n int) int {
 	return rand.Intn(n) // want "nondeterminism source math/rand.Intn"
+}
+
+// directGlobalRandV2 uses math/rand/v2's package-level, globally seeded
+// RNG.
+func directGlobalRandV2(n int) int {
+	return randv2.IntN(n) // want "nondeterminism source math/rand/v2.IntN"
+}
+
+// directGlobalRandV2Word draws a raw word from the same global RNG.
+func directGlobalRandV2Word() uint64 {
+	return randv2.Uint64() // want "nondeterminism source math/rand/v2.Uint64"
 }
 
 // directEnv reads the process environment.
@@ -73,6 +85,15 @@ func transitiveMapOrder(m map[string]int) []string {
 func goodSeeded(seed int64, n int) int {
 	r := rand.New(rand.NewSource(seed))
 	return r.Intn(n)
+}
+
+// goodSeededPCG is deterministic: a PCG built and reseeded from explicit
+// seeds, drawn through the Rand that wraps it.
+func goodSeededPCG(seed uint64, n int) int {
+	pcg := randv2.NewPCG(seed, 0)
+	r := randv2.New(pcg)
+	pcg.Seed(seed+1, 0)
+	return r.IntN(n)
 }
 
 // goodSeededHelper: seeded randomness in the helper is not a source either.
