@@ -79,15 +79,30 @@ STATEDIR="$OBSDIR/state"
     -state-dir "$STATEDIR" > "$OBSDIR/crash1.log" 2>&1 &
 SRV_PID=$!
 wait_addr "$OBSDIR/addr-crash1" || { echo "crash smoke: daemon never bound; log:" >&2; cat "$OBSDIR/crash1.log" >&2; exit 1; }
-# Slow-ish jobs so SIGKILL plausibly lands mid-run; recovery is verified
-# either way — every journaled job must settle after the restart.
+# Three 20 000-permutation jobs take ≈ 0.9 s together on 2 cores;
+# SIGKILL lands as soon as all three are journaled, so at least one
+# must still be running, and the smoke fails if none is.
+JOURNAL="$STATEDIR/journal.jsonl"
 "$OBSDIR/loadgen" -addr "$(cat "$OBSDIR/addr-crash1")" -tenants 1 -jobs 3 \
-    -rows 400 -queries 5 -perms 4000 > /dev/null 2>&1 &
+    -rows 400 -queries 5 -perms 20000 > /dev/null 2>&1 &
 LG_PID=$!
-sleep 0.4
+for _ in $(seq 1 100); do
+    [ "$(grep -c '"t":"job-admit"' "$JOURNAL" 2>/dev/null || true)" -ge 3 ] && break
+    sleep 0.05
+done
 kill -9 "$SRV_PID"
 SRV_PID=""
 wait "$LG_PID" 2>/dev/null || true  # its daemon just vanished mid-poll
+unsettled=0
+for id in $(sed -n 's/^{"t":"job-admit","id":"\([^"]*\)".*/\1/p' "$JOURNAL"); do
+    grep -Eq "^\{\"t\":\"job-(done|failed|cancelled)\",\"id\":\"$id\"" "$JOURNAL" || unsettled=$((unsettled + 1))
+done
+if [ "$unsettled" -lt 1 ]; then
+    echo "crash smoke: kill -9 landed after every journaled job had finished; make the jobs longer" >&2
+    cat "$JOURNAL" >&2
+    exit 1
+fi
+echo "    $unsettled journaled job(s) unfinished at kill -9"
 "$OBSDIR/comparenbd" -addr 127.0.0.1:0 -addr-file "$OBSDIR/addr-crash2" \
     -state-dir "$STATEDIR" > "$OBSDIR/crash2.log" 2>&1 &
 SRV_PID=$!
@@ -97,12 +112,15 @@ wait_addr "$OBSDIR/addr-crash2" || { echo "crash smoke: restarted daemon never b
 # -journal additionally asserts every recovered job kept the trace id
 # its admission record carried across the kill -9.
 "$OBSDIR/loadgen" -addr "$(cat "$OBSDIR/addr-crash2")" -resume \
-    -journal "$STATEDIR/journal.jsonl" -out "$OBSDIR/resume.json" \
+    -journal "$JOURNAL" -out "$OBSDIR/resume.json" \
     || { echo "crash smoke: recovery verification failed; log:" >&2; cat "$OBSDIR/crash2.log" >&2; exit 1; }
 cat "$OBSDIR/resume.json"
 kill -TERM "$SRV_PID"
 wait "$SRV_PID"
 SRV_PID=""
+
+echo "==> crash tests under repetition (timing flakes surface here)"
+go test -count=10 -run '^TestCrash' ./internal/server
 
 echo "==> fuzz smoke (every fuzz target, 3s each)"
 # go test accepts one -fuzz target per invocation, so enumerate the
