@@ -62,9 +62,10 @@ func permsShedCap(perms int, alpha float64) int {
 // once per (attribute, value pair) job: Full runs every permutation;
 // Degrade switches the job to early stopping (stats.PermRun.Alpha);
 // Shed additionally drops every job outside the top max(EpsT, 4)
-// priority ranks and caps the survivors' permutations at permsShedCap. Priority is most-populated pair first — a pure
-// function of the input, so which pairs Shed drops is deterministic even
-// though *when* shedding starts depends on the wall clock.
+// priority ranks and caps the survivors' permutations at permsShedCap.
+// Priority is most-populated pair first — a pure function of the input,
+// so which pairs Shed drops is deterministic even though *when*
+// shedding starts depends on the wall clock.
 func runStatTests(ctx context.Context, rel *table.Relation, cfg Config, gov *governor.Governor) (significant []insight.Insight, tested int, err error) {
 	n := rel.NumCatAttrs()
 	// Pre-draw the test relation(s). Random sampling shares one sample;
@@ -317,11 +318,12 @@ func enumeratePairs(rel *table.Relation, a int, maxPairs int) [][2]int32 {
 // yRows of rel. Consecutive measures whose pooled sides have equal sizes
 // (sizes differ only when NaN cells were filtered) share one
 // permutation run, seeded from `seed` and the index of the measure that
-// starts it; a measure with no oriented test still starts a run. run carries the permutation count, the
-// worker width and, for budget-pressure runs, the early-stopping alpha;
-// every result is bit-identical for every thread count. minPerms is the
-// smallest permutation count an early-stopped test evaluated (0 when
-// the pair produced no tests).
+// starts it; a measure with no oriented test still starts a run. run
+// carries the permutation count, the worker width and, for
+// budget-pressure runs, the early-stopping alpha; every result is
+// bit-identical for every thread count. minPerms is the smallest
+// permutation count an early-stopped test evaluated (0 when the pair
+// produced no tests).
 func testPair(ctx context.Context, rel *table.Relation, job pairJob, xRows, yRows []int, cfg Config, seed int64, run stats.PermRun) (out []statOutcome, minPerms int, err error) {
 	if len(xRows) < cfg.MinSideRows || len(yRows) < cfg.MinSideRows {
 		return nil, 0, nil

@@ -39,6 +39,18 @@ func BenchmarkPermTestMedian(b *testing.B) {
 	benchPerm(b, PermRun{NX: 200, NY: 200, Perms: 100, Seed: 1, Threads: 1}, PermTest{benchPool(400, 2), MedianDiff})
 }
 
+// BenchmarkPermTestUnbalanced has a small side X against a large side Y
+// and the sides swapped: only the 50-value side is drawn either way.
+func BenchmarkPermTestUnbalanced(b *testing.B) {
+	pooled := benchPool(2050, 2)
+	b.Run("x-small", func(b *testing.B) {
+		benchPerm(b, PermRun{NX: 50, NY: 2000, Perms: 200, Seed: 1, Threads: 1}, PermTest{pooled, MeanDiff}, PermTest{pooled, VarDiff})
+	})
+	b.Run("y-small", func(b *testing.B) {
+		benchPerm(b, PermRun{NX: 2000, NY: 50, Perms: 200, Seed: 1, Threads: 1}, PermTest{pooled, MeanDiff}, PermTest{pooled, VarDiff})
+	})
+}
+
 // BenchmarkPermTestShared is the pipeline's shape: two measures, each
 // tested for mean and variance, sharing one run.
 func BenchmarkPermTestShared(b *testing.B) {
