@@ -195,8 +195,7 @@ func TestNullPValuesUniform(t *testing.T) {
 // allocates nothing.
 func TestPermWorkerNoAllocPerBlock(t *testing.T) {
 	run := PermRun{NX: 50, NY: 2000, Perms: 4 * permBlock, Seed: 1}
-	tests := []PermTest{{benchPool(2050, 2), MeanDiff}}
-	evals := []permEval{{PermTest: tests[0]}}
+	evals := []permEval{{PermTest: PermTest{benchPool(2050, 2), MeanDiff}}}
 	w := getPermWorker(run, 1, false)
 	defer permWorkers.Put(w)
 	ctx := context.Background()

@@ -294,13 +294,13 @@ func earlyStopDecided(ge, m int, alpha float64) bool {
 }
 
 // centered returns a copy of pooled shifted by its mean, summed in
-// order's sequence and rounded to an integer. The variance statistic is shift-invariant, and its one-pass
-// form qx/nx − mx² cancels catastrophically on values far from zero (at
-// an offset of 1e10 it read 65536 for a true difference of 8); after the
-// shift the values sit within 0.5 of zero on average. Rounding the
-// shift keeps it exact for values within a factor of two of it
-// (Sterbenz), and makes it a no-op — bit for bit — on pools already
-// centred within 0.5 of zero.
+// order's sequence and rounded to an integer. The variance statistic is
+// shift-invariant, and its one-pass form qx/nx − mx² cancels
+// catastrophically on values far from zero (at an offset of 1e10 it
+// read 65536 for a true difference of 8); after the shift the values
+// sit within 0.5 of zero on average. Rounding the shift keeps it exact
+// for values within a factor of two of it (Sterbenz), and makes it a
+// no-op — bit for bit — on pools already centred within 0.5 of zero.
 func centered(pooled []float64, order []int32) []float64 {
 	s := 0.0
 	for _, i := range order {
@@ -440,10 +440,11 @@ func (w *permWorker) reset(b int) {
 // pool's first k positions: afterwards pool[:k] is a uniform k-subset
 // of the pooled indexes, whatever labelling the pool held before.
 func (w *permWorker) draw() {
-	n := len(w.pool)
-	for i := 0; i < w.k; i++ {
-		j := i + w.rng.IntN(n-i)
-		w.pool[i], w.pool[j] = w.pool[j], w.pool[i]
+	pool, rng := w.pool, w.rng
+	n := len(pool)
+	for i := range w.k {
+		j := i + rng.IntN(n-i)
+		pool[i], pool[j] = pool[j], pool[i]
 	}
 }
 

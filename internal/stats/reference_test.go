@@ -161,9 +161,11 @@ func checkPins(t *testing.T, name string, lines []string) {
 // TestKernelMatchesReference pins the permutation kernel bit for bit:
 // every p-value over the side shapes, statistics and permutation counts
 // around the block width equals the one recorded in
-// testdata/perm_pins.txt (recorded from the stored-permutation
-// implementation), is the same at threads 1–4, lies inside the naive
-// reference bracket, and sharing one run across tests changes nothing.
+// testdata/perm_pins.txt (regenerate with UPDATE_GOLDEN=1 only for a
+// deliberate change of the permutation stream), is the same at threads
+// 1–4, lies inside the naive reference bracket, and sharing one run
+// across tests changes nothing. The y1 shape draws from the rotated
+// identity.
 func TestKernelMatchesReference(t *testing.T) {
 	const seed = 101
 	var lines []string
@@ -218,7 +220,7 @@ func TestKernelMatchesReference(t *testing.T) {
 
 // TestEarlyStopPinned pins the early-stopping mode on single-test runs:
 // p-values and permutations used equal the ones recorded in
-// testdata/earlystop_pins.txt from the per-test early-stopping kernel.
+// testdata/earlystop_pins.txt.
 func TestEarlyStopPinned(t *testing.T) {
 	cx, cy := clearPair(40)
 	nxs, nys := nullPair(60)
