@@ -53,6 +53,9 @@ func BenchmarkRollup(b *testing.B) {
 	}
 }
 
+// BenchmarkCompareFromCube is one stand-alone comparison query (a
+// notebook result table): the value ranks, a CompareIndex, one merge and
+// one aggregate.
 func BenchmarkCompareFromCube(b *testing.B) {
 	rel := benchRelation(b, 50000)
 	cube := BuildCube(rel, []int{0, 1})
@@ -60,6 +63,43 @@ func BenchmarkCompareFromCube(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		CompareFromCube(cube, 0, 1, dom[0], dom[1], 0, Avg)
+	}
+}
+
+// BenchmarkCompareIndexBuild is the per-run cost of one hypothesis-phase
+// comparison index: A = attribute 3 (48 values) over B = attribute 2 (24
+// values), 1152 groups.
+func BenchmarkCompareIndexBuild(b *testing.B) {
+	rel := benchRelation(b, 50000)
+	cube := BuildCube(rel, []int{2, 3})
+	ranks := ValueRanks(rel, 3)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		NewCompareIndex(cube, 3, 2, ranks)
+	}
+}
+
+// BenchmarkCompareIndexJob is one hypothesis job on a built index: one
+// merge for (val, val'), then every aggregate's result into reused
+// buffers, as the hypothesis phase runs it. The buffers are grown before
+// the timer starts, so even a -benchtime=1x run reports the steady state.
+func BenchmarkCompareIndexJob(b *testing.B) {
+	rel := benchRelation(b, 50000)
+	cube := BuildCube(rel, []int{2, 3})
+	ix := NewCompareIndex(cube, 3, 2, ValueRanks(rel, 3))
+	dom := rel.SortedDomain(2)
+	var j Join
+	var res ComparisonResult
+	job := func() {
+		ix.Join(dom[0], dom[1], &j)
+		for _, agg := range AllAggs {
+			ix.Result(&j, 0, agg, &res)
+		}
+	}
+	job()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		job()
 	}
 }
 

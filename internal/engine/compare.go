@@ -22,34 +22,16 @@ func (cr *ComparisonResult) Len() int { return len(cr.Groups) }
 
 // CompareFromCube answers the comparison query (A, B, val, val', M, agg)
 // from a cube whose attributes include A and B (rolling up first if the
-// cube is wider). The inner join of Def. 3.1 keeps only the A-groups
-// present for both selections.
+// cube is wider) through a CompareIndex. The inner join of Def. 3.1 keeps
+// only the A-groups present for both selections. Callers answering many
+// queries from one cube build the index once instead.
 func CompareFromCube(c *Cube, attrA, attrB int, val, val2 int32, meas int, agg Agg) *ComparisonResult {
-	if len(c.attrs) != 2 || c.attrs[0] != minInt(attrA, attrB) || c.attrs[1] != maxInt(attrA, attrB) {
-		c = c.Rollup([]int{attrA, attrB})
-	}
-	posA, posB := 0, 1
-	if c.attrs[0] == attrB {
-		posA, posB = 1, 0
-	}
-	left := make(map[int32]float64)
-	right := make(map[int32]float64)
-	for g := 0; g < c.NumGroups(); g++ {
-		key := c.GroupKey(g)
-		b := key[posB]
-		if b != val && b != val2 {
-			continue
-		}
-		a := key[posA]
-		v := c.Value(g, meas, agg)
-		if b == val {
-			left[a] = v
-		}
-		if b == val2 {
-			right[a] = v
-		}
-	}
-	return joinSeries(c.rel, attrA, left, right)
+	ix := NewCompareIndex(c, attrA, attrB, ValueRanks(c.rel, attrA))
+	var j Join
+	ix.Join(val, val2, &j)
+	res := &ComparisonResult{}
+	ix.Result(&j, meas, agg, res)
+	return res
 }
 
 // CompareDirect evaluates the comparison query by scanning the base

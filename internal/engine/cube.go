@@ -34,16 +34,8 @@ type Cube struct {
 }
 
 // Attrs returns a copy of the (sorted) categorical attribute indexes the
-// cube groups by. Hot paths inside the module use NumAttrs/AttrAt instead,
-// which do not clone.
+// cube groups by.
 func (c *Cube) Attrs() []int { return append([]int(nil), c.attrs...) }
-
-// NumAttrs returns the number of group-by attributes.
-func (c *Cube) NumAttrs() int { return len(c.attrs) }
-
-// AttrAt returns the k-th (sorted) group-by attribute index without
-// cloning the attribute set.
-func (c *Cube) AttrAt(k int) int { return c.attrs[k] }
 
 // NumGroups returns γ_q: the number of groups.
 func (c *Cube) NumGroups() int { return len(c.counts) }

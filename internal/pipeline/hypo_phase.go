@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"comparenb/internal/cover"
 	"comparenb/internal/engine"
@@ -35,6 +36,15 @@ type hypoOutcome struct {
 	avgSupports  bool
 	theta, gamma int
 }
+
+// hypoScratch is a hypothesis job's reusable join and result buffers,
+// pooled so each worker reuses one set across the jobs it runs.
+type hypoScratch struct {
+	join engine.Join
+	res  engine.ComparisonResult
+}
+
+var hypoScratchPool = sync.Pool{New: func() any { return new(hypoScratch) }}
 
 // hypoCandidateCap returns the degradation ladder's cap on the number of
 // significant insights the hypothesis phase evaluates (0 = uncapped).
@@ -101,8 +111,8 @@ func capCandidates(sig []insight.Insight, k int) ([]insight.Insight, int) {
 // when cfg.UseWSC), computes credibility, scores interest, and applies the
 // same-insights dedup. Support is always checked on the full relation —
 // sampling only ever accelerates the statistical tests. Cancelling ctx
-// aborts the phase at the next cube or job checkpoint with ctx's error;
-// a live ctx never changes the result.
+// aborts the phase at the next cube, index or job checkpoint with ctx's
+// error; a live ctx never changes the result.
 //
 // gov (nil = ungoverned) drives the phase's degradation ladder, asked
 // once on entry: under pressure the candidate set is capped to the
@@ -159,16 +169,55 @@ func evalHypotheses(ctx context.Context, rel *table.Relation, cfg Config, fds *e
 		return nil, nil, counts, err
 	}
 
-	// Evaluate every (insight, grouping attribute) combination.
+	// Evaluate every (insight, grouping attribute A) combination. Each
+	// job is one merge in the comparison index of its (pair cube, A, B)
+	// orientation. The indexes are built once per run, from the string
+	// ranks of every grouping attribute's values, and only read after.
 	type job struct {
 		insIdx int
 		attrA  int
+		index  int // into orients / indexes
 	}
+	type orientation struct{ a, b int }
 	var jobs []job
+	var orients []orientation
+	orientAt := map[orientation]int{}
 	for ii, ins := range sig {
 		for _, a := range validA[ins.Attr] {
-			jobs = append(jobs, job{insIdx: ii, attrA: a})
+			o := orientation{a: a, b: ins.Attr}
+			oi, ok := orientAt[o]
+			if !ok {
+				oi = len(orients)
+				orientAt[o] = oi
+				orients = append(orients, o)
+			}
+			jobs = append(jobs, job{insIdx: ii, attrA: a, index: oi})
 		}
+	}
+	groupsBy := make([]bool, n)
+	for _, o := range orients {
+		groupsBy[o.a] = true
+	}
+	ranks := make([][]int32, n)
+	err = parallelForCtx(ctx, cfg.threads(), n, func(_ context.Context, a int) error {
+		if groupsBy[a] {
+			ranks[a] = engine.ValueRanks(rel, a)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, counts, err
+	}
+	indexes := make([]*engine.CompareIndex, len(orients))
+	err = parallelForCtx(ctx, cfg.threads(), len(orients), func(jctx context.Context, oi int) error {
+		sp := obs.StartSpan(jctx, "hypo/index")
+		defer sp.End()
+		o := orients[oi]
+		indexes[oi] = engine.NewCompareIndex(pairCubes[cover.NewPair(o.a, o.b)], o.a, o.b, ranks[o.a])
+		return nil
+	})
+	if err != nil {
+		return nil, nil, counts, err
 	}
 	results := make([]hypoOutcome, len(jobs))
 	err = parallelForCtx(ctx, cfg.threads(), len(jobs), func(jctx context.Context, ji int) error {
@@ -176,8 +225,21 @@ func evalHypotheses(ctx context.Context, rel *table.Relation, cfg Config, fds *e
 		defer sp.End()
 		j := jobs[ji]
 		ins := sig[j.insIdx]
-		pc := pairCubes[cover.NewPair(j.attrA, ins.Attr)]
-		results[ji] = evalOne(rel, pc, j.attrA, ins)
+		ix := indexes[j.index]
+		s := hypoScratchPool.Get().(*hypoScratch)
+		defer hypoScratchPool.Put(s)
+		ix.Join(ins.Val, ins.Val2, &s.join)
+		out := hypoOutcome{theta: s.join.Theta, gamma: s.join.Len()}
+		for _, agg := range engine.AllAggs {
+			ix.Result(&s.join, ins.Meas, agg, &s.res)
+			if insight.Supports(&s.res, ins.Type) {
+				out.supportedAggs = append(out.supportedAggs, agg)
+				if agg == engine.Avg {
+					out.avgSupports = true
+				}
+			}
+		}
+		results[ji] = out
 		return nil
 	})
 	if err != nil {
@@ -302,35 +364,6 @@ func lessQuery(a, b insight.Query) bool {
 		return a.GroupBy < b.GroupBy
 	}
 	return a.Agg < b.Agg
-}
-
-// evalOne evaluates all hypothesis queries for one insight and one
-// grouping attribute: which aggregates' comparison queries support the
-// insight, plus the conciseness inputs θ and γ.
-func evalOne(rel *table.Relation, pc *engine.Cube, attrA int, ins insight.Insight) hypoOutcome {
-	var out hypoOutcome
-	// θ: tuples with B ∈ {val, val'} — from the pair cube's counts.
-	// AttrAt avoids Attrs()'s defensive clone on this hot path.
-	posB := 0
-	if pc.AttrAt(1) == ins.Attr {
-		posB = 1
-	}
-	for g := 0; g < pc.NumGroups(); g++ {
-		if b := pc.GroupKey(g)[posB]; b == ins.Val || b == ins.Val2 {
-			out.theta += int(pc.Count(g))
-		}
-	}
-	for _, agg := range engine.AllAggs {
-		res := engine.CompareFromCube(pc, attrA, ins.Attr, ins.Val, ins.Val2, ins.Meas, agg)
-		out.gamma = res.Len()
-		if insight.Supports(res, ins.Type) {
-			out.supportedAggs = append(out.supportedAggs, agg)
-			if agg == engine.Avg {
-				out.avgSupports = true
-			}
-		}
-	}
-	return out
 }
 
 // buildPairCubes materialises a cube for every needed {A, B} pair through

@@ -46,8 +46,10 @@ func TestCrashServerHelper(t *testing.T) {
 	}
 
 	_, base, _ := startDurableServer(t, stateDir, Options{MaxConcurrent: 1})
-	loadRelation(t, base, "tiny", csv)
+	// A durable server answers 503 until its startup replay finishes, so
+	// the relation load waits for /readyz like any client must.
 	waitReady(t, base)
+	loadRelation(t, base, "tiny", csv)
 
 	req := crashJobRequest()
 	id1 := submitJob(t, base, req)

@@ -47,6 +47,7 @@ func TestRecoveryRestoresSessionsAndArtifacts(t *testing.T) {
 	req := jobRequest{Relation: "tiny", Queries: 4, Perms: 40, Seed: 7}
 
 	_, base, shutdown := startDurableServer(t, stateDir, Options{MaxConcurrent: 1})
+	waitReady(t, base)
 	loadRelation(t, base, "tiny", csv)
 	id := submitJob(t, base, req)
 	if v := waitJob(t, base, id); v.State != stateDone {
@@ -109,6 +110,7 @@ func TestRecoveryVerifiesArtifactHashes(t *testing.T) {
 	req := jobRequest{Relation: "tiny", Queries: 3, Perms: 40, Seed: 11}
 
 	_, base, shutdown := startDurableServer(t, stateDir, Options{MaxConcurrent: 1})
+	waitReady(t, base)
 	loadRelation(t, base, "tiny", csv)
 	id := submitJob(t, base, req)
 	if v := waitJob(t, base, id); v.State != stateDone {
@@ -287,6 +289,7 @@ func TestReadyzGatesDuringReplay(t *testing.T) {
 
 	// First life just to populate the journal with one session.
 	_, base, shutdown := startDurableServer(t, stateDir, Options{MaxConcurrent: 1})
+	waitReady(t, base)
 	loadRelation(t, base, "tiny", csv)
 	shutdown()
 
@@ -340,8 +343,8 @@ func TestJournalAdmitFault(t *testing.T) {
 	csv := writeTinyCSV(t, 13, 40)
 	s, base, shutdown := startDurableServer(t, stateDir, Options{MaxConcurrent: 1})
 	defer shutdown()
-	loadRelation(t, base, "tiny", csv)
 	waitReady(t, base)
+	loadRelation(t, base, "tiny", csv)
 
 	// Close the journal under the server to make the next append fail.
 	if err := s.journal.Close(); err != nil {

@@ -8,13 +8,20 @@
 # output is named after the current commit (BENCH_<short-hash>.json)
 # unless OUT says otherwise.
 #
+# The header records the hardware the numbers came from: GOMAXPROCS (as
+# the benchmark names report it), the online core count, the CPU model
+# go test prints, and the Go version.
+#
 # When PREV names a previous baseline, the output also carries
-# per-benchmark B/op deltas against it, and any permutation-test
-# benchmark (BenchmarkPermTest*, and BenchmarkPermSeededGen, the
-# seeded draw alone) whose B/op regressed by more than 20% gets a loud
-# WARNING on stderr: permutation storage and RNG seeding were once most
-# of a run's allocated bytes, so the streaming kernel's allocation
-# discipline is a tracked budget, not a nice-to-have.
+# per-benchmark B/op deltas against it, and any benchmark with an
+# allocation budget whose B/op regressed by more than 20% gets a loud
+# WARNING on stderr. The budgeted benchmarks are the permutation tests
+# (BenchmarkPermTest*, and BenchmarkPermSeededGen, the seeded draw
+# alone) — permutation storage and RNG seeding were once most of a run's
+# allocated bytes — and the hypothesis-phase comparison index
+# (BenchmarkCompareIndexBuild, BenchmarkCompareIndexJob): per-job maps
+# and sorts were once most of that phase's, and a job now allocates
+# nothing.
 #
 #   scripts/bench.sh                    # full run (default -benchtime=1s)
 #   BENCHTIME=100ms scripts/bench.sh    # quicker, noisier
@@ -40,6 +47,8 @@ if [ -n "$PREV" ] && [ ! -f "$PREV" ]; then
     exit 2
 fi
 [ -n "$PREV" ] || PREV=/dev/null
+NPROC="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)"
+GOVERSION="$(go env GOVERSION)"
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
@@ -48,9 +57,11 @@ go test -run '^$' -bench . -benchmem -benchtime="$BENCHTIME" ./... | tee "$RAW"
 
 echo "==> writing $OUT (B/op deltas vs $PREV)"
 awk '
-FNR == NR {
+FILENAME == prev {
     # First input: the previous baseline JSON. One benchmark record per
-    # line; pull out the name and its B/op figure when present.
+    # line; pull out the name and its B/op figure when present. (Matched
+    # by name, not FNR == NR: an empty first input, /dev/null when PREV
+    # is unset, would make that test true for every benchmark line.)
     if (match($0, /"name": "Benchmark[^"]*"/)) {
         pname = substr($0, RSTART + 9, RLENGTH - 10)
         if (match($0, /"b_op": [0-9]+/))
@@ -58,9 +69,15 @@ FNR == NR {
     }
     next
 }
+/^cpu: / && cpu == "" {
+    cpu = substr($0, 6)
+    gsub(/["\\]/, "", cpu)
+}
 /^Benchmark/ {
-    # Benchmark lines: Name-GOMAXPROCS  N  ns/op  [B/op  allocs/op]
+    # Benchmark lines: Name-GOMAXPROCS  N  ns/op  [B/op  allocs/op];
+    # go test leaves the suffix off when GOMAXPROCS is 1.
     name = $1
+    if (procs == "") procs = match(name, /-[0-9]+$/) ? substr(name, RSTART + 1) : 1
     sub(/-[0-9]+$/, "", name)
     ns[name] = $3
     bop[name] = ""; aop[name] = ""
@@ -71,7 +88,10 @@ FNR == NR {
     order[n_bench++] = name
 }
 END {
-    printf "{\n  \"benchtime\": \"%s\",\n  \"benchmarks\": [\n", benchtime
+    printf "{\n  \"benchtime\": \"%s\",\n", benchtime
+    printf "  \"gomaxprocs\": %s,\n  \"nproc\": %s,\n", (procs == "" ? "null" : procs), nproc
+    printf "  \"cpu\": \"%s\",\n  \"go_version\": \"%s\",\n", cpu, goversion
+    printf "  \"benchmarks\": [\n"
     for (i = 0; i < n_bench; i++) {
         name = order[i]
         printf "    {\"name\": \"%s\", \"ns_op\": %s", name, ns[name]
@@ -116,7 +136,7 @@ END {
             ratio = bop[name] / prev_bop[name]
             printf "    {\"name\": \"%s\", \"prev_b_op\": %.0f, \"b_op\": %s, \"ratio\": %.3f}%s\n", \
                 name, prev_bop[name], bop[name], ratio, (i < n_d - 1 ? "," : "")
-            if (name ~ /^Benchmark(PermTest|PermSeededGen)/ && ratio > 1.2) {
+            if (name ~ /^Benchmark(PermTest|PermSeededGen|CompareIndex)/ && ratio > 1.2) {
                 printf "WARNING: %s B/op regressed %.1f%% vs baseline (%.0f -> %s B/op)\n", \
                     name, (ratio - 1) * 100, prev_bop[name], bop[name] | "cat 1>&2"
                 warned = 1
@@ -125,14 +145,15 @@ END {
         printf "  ]"
         if (warned) {
             printf "==================== B/op REGRESSION ====================\n" | "cat 1>&2"
-            printf "Permutation-test benchmarks above regressed >20%% in bytes/op.\n" | "cat 1>&2"
-            printf "The streaming kernel budgets allocations deliberately --\n" | "cat 1>&2"
+            printf "Budgeted benchmarks above regressed >20%% in bytes/op.\n" | "cat 1>&2"
+            printf "The permutation kernel and the comparison index budget\n" | "cat 1>&2"
+            printf "allocations deliberately --\n" | "cat 1>&2"
             printf "see docs/PERFORMANCE.md before accepting a new baseline.\n" | "cat 1>&2"
             printf "=========================================================\n" | "cat 1>&2"
         }
     }
     printf "\n}\n"
 }
-' benchtime="$BENCHTIME" "$PREV" "$RAW" > "$OUT"
+' benchtime="$BENCHTIME" nproc="$NPROC" goversion="$GOVERSION" prev="$PREV" "$PREV" "$RAW" > "$OUT"
 
 echo "OK: wrote $OUT"
